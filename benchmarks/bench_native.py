@@ -153,8 +153,9 @@ def main(argv=None):
     if backend is None:
         print("FAIL: no compiled native backend resolved "
               f"(status: {registry.native_status()['errors']}); "
-              "this benchmark gates the compiled tier — install numba or "
-              "provide a C toolchain", file=sys.stderr)
+              "this benchmark gates the compiled tier — provide a C "
+              "toolchain (cc, gcc or clang on PATH, or REPRO_NATIVE_CC)",
+              file=sys.stderr)
         return 1
 
     if args.quick:

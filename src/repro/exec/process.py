@@ -47,19 +47,18 @@ import weakref
 from multiprocessing import get_context
 from multiprocessing.connection import Connection
 from multiprocessing.shared_memory import SharedMemory
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import obs
-from repro.exec.context import QueryStats
+from repro.exec.context import ExecutionContext, QueryStats
+from repro.exec.plan import QueryPlan, Stage
 from repro.resilience.deadline import Deadline
-from repro.resilience.policy import (FailureRecord, ResiliencePolicy,
-                                     active_policy)
+from repro.resilience.policy import FailureRecord, ResiliencePolicy
 
 if TYPE_CHECKING:  # runtime import would cycle: lsh.index imports repro.exec
     from repro.lsh.index import StandardLSH
-    from repro.runtime.session import QueryRequest, QueryResponse
 
 __all__ = ["ProcessShardExecutor", "WorkerCrashError"]
 
@@ -639,34 +638,37 @@ class ProcessShardExecutor:
 
     # ------------------------------------------------------------- querying
 
-    def submit(self, request: "QueryRequest") -> "QueryResponse":
-        """Runtime-layer entry: answer one
-        :class:`~repro.runtime.QueryRequest` over the pool.
+    def execution_plan(self, engine: Optional[str] = None,
+                       hierarchy_threshold: Union[str, int] = "median",
+                       ) -> QueryPlan:
+        """Staged :class:`~repro.exec.plan.QueryPlan` over the pool.
 
-        Mirrors :meth:`repro.runtime.session.IndexRuntime.submit` so a
-        runtime holding a shard pool routes requests here unchanged;
-        unset request fields fall back to this method's historical
-        ``query_batch`` defaults (threshold ``"median"``).
+        :func:`repro.exec.run_plan` owns policy resolution, validation,
+        non-finite-row degrading and the deadline, exactly as for the
+        in-process front-ends; the plan's single stage dispatches the
+        validated rows to the workers (:meth:`_run_rows`).  ``engine``
+        may only name the engine the workers were built with.
         """
-        from repro.runtime.session import QueryResponse
-
-        threshold: object = request.hierarchy_threshold
-        if threshold is None:
-            threshold = "median"
-        ids, dists, stats = self.query_batch(
-            request.queries, request.k, hierarchy_threshold=threshold,
-            deadline_ms=request.deadline_ms, deadline=request.deadline,
-            policy=request.policy, max_batch_rows=request.max_batch_rows)
-        return QueryResponse(ids=ids, distances=dists, stats=stats)
+        if self._closed:
+            raise RuntimeError("executor is closed")
+        if engine is not None and engine != self._engine:
+            raise ValueError(
+                f"this pool runs engine {self._engine!r}, got {engine!r}")
+        return _PoolPlan(self, hierarchy_threshold)
 
     def query_batch(self, queries: np.ndarray, k: int,
-                    hierarchy_threshold: object = "median",
+                    hierarchy_threshold: Union[str, int] = "median",
                     deadline_ms: Optional[float] = None,
                     deadline: Optional[Deadline] = None,
                     policy: Optional[ResiliencePolicy] = None,
                     max_batch_rows: Optional[int] = None,
                     ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
         """KNN over the worker pool; same contract as the in-process path.
+
+        Thin adapter (rule R14): the options become a
+        :class:`repro.runtime.QueryRequest` run by
+        :func:`repro.runtime.execute_request` over
+        :meth:`execution_plan`.
 
         ``max_batch_rows`` bounds rows per dispatched shard (``None``
         runs the batch as one shard); shards are dispatched in waves of
@@ -678,73 +680,17 @@ class ProcessShardExecutor:
         affected rows (retry on a fresh worker, then exact brute-force,
         then flagged padding) — the batch always returns.
         """
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        pol = policy if policy is not None else active_policy()
-        ob = obs.active()
-        timer = obs.StageTimer(ob)  # clock-free when ob is None
-        arr, finite_row, k = self._index._validate_query_batch(
-            queries, k, allow_nonfinite=pol is not None)
-        timer.lap(f"{self.SITE}.validate")
-        if deadline is None:
-            deadline = Deadline.from_ms(deadline_ms)
-        nq = int(arr.shape[0])
-        failures: List[FailureRecord] = []
+        from repro.runtime.session import QueryRequest, execute_request
 
-        if finite_row is not None and not bool(finite_row.all()):
-            # Policy-gated non-finite rows: answered with flagged padding
-            # (mirrors repro.exec.executor._run_shard).
-            assert pol is not None
-            ids_out = np.full((nq, k), -1, dtype=np.int64)
-            dists_out = np.full((nq, k), np.inf, dtype=np.float64)
-            n_candidates = np.zeros(nq, dtype=np.int64)
-            escalated = np.zeros(nq, dtype=bool)
-            degraded = ~finite_row
-            exhausted: Optional[np.ndarray] = (
-                np.zeros(nq, dtype=bool) if deadline is not None else None)
-            good = np.nonzero(finite_row)[0]
-            n_bad = nq - int(good.size)
-            from repro.resilience.errors import QueryValidationError
+        request = QueryRequest(queries=queries, k=k,
+                               hierarchy_threshold=hierarchy_threshold,
+                               deadline_ms=deadline_ms, deadline=deadline,
+                               policy=policy, max_batch_rows=max_batch_rows)
+        return execute_request(self, request).as_tuple()
 
-            failures.append(pol.note_failure(
-                f"{self.SITE}.validate", f"rows={n_bad}",
-                QueryValidationError(
-                    "query rows contain NaN or infinite values",
-                    field="queries"),
-                "degraded"))
-            if ob is not None:
-                ob.record_degraded("nonfinite_query", n_bad)
-            if good.size:
-                sub_ids, sub_dists, sub_stats = self._run_rows(
-                    np.ascontiguousarray(arr[good], dtype=np.float64), k,
-                    hierarchy_threshold, deadline, pol, max_batch_rows,
-                    failures, timer)
-                ids_out[good] = sub_ids
-                dists_out[good] = sub_dists
-                n_candidates[good] = sub_stats.n_candidates
-                escalated[good] = sub_stats.escalated
-                if sub_stats.degraded is not None:
-                    degraded[good] |= sub_stats.degraded
-                if exhausted is not None \
-                        and sub_stats.exhausted_budget is not None:
-                    exhausted[good] = sub_stats.exhausted_budget
-            return ids_out, dists_out, QueryStats(
-                n_candidates, escalated, degraded=degraded,
-                exhausted_budget=exhausted,
-                failures=tuple(failures) if failures else None)
-
-        return self._run_rows(arr, k, hierarchy_threshold, deadline, pol,
-                              max_batch_rows, failures, timer)
-
-    def _run_rows(self, queries: np.ndarray, k: int,
-                  hierarchy_threshold: object,
-                  deadline: Optional[Deadline],
-                  pol: Optional[ResiliencePolicy],
-                  max_batch_rows: Optional[int],
-                  failures: List[FailureRecord],
-                  timer: "obs.StageTimer",
-                  ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
-        """Shard validated all-finite rows over the pool and merge.
+    def _run_rows(self, ctx: ExecutionContext,
+                  hierarchy_threshold: object) -> None:
+        """Shard the context's validated all-finite rows over the pool.
 
         Dispatch is wave-pipelined: each wave sends one shard to every
         worker, then collects replies in shard order — at most one shard
@@ -759,19 +705,12 @@ class ProcessShardExecutor:
         spans), then drains the shared-memory metrics segment so worker
         counters appear in the parent registry.
         """
-        nq = int(queries.shape[0])
-        rows_per_shard = (nq if max_batch_rows is None
-                          else max(1, int(max_batch_rows)))
+        queries, k, nq = ctx.queries, ctx.k, ctx.nq
+        deadline, pol, ob = ctx.deadline, ctx.policy, ctx.ob
+        rows_per_shard = (nq if ctx.max_batch_rows is None
+                          else ctx.max_batch_rows)
         shards = [(s, min(s + rows_per_shard, nq))
                   for s in range(0, nq, rows_per_shard)]
-        ids_out = np.full((nq, k), -1, dtype=np.int64)
-        dists_out = np.full((nq, k), np.inf, dtype=np.float64)
-        n_candidates = np.zeros(nq, dtype=np.int64)
-        escalated = np.zeros(nq, dtype=bool)
-        degraded: Optional[np.ndarray] = None
-        exhausted: Optional[np.ndarray] = (
-            np.zeros(nq, dtype=bool) if deadline is not None else None)
-        ob = obs.active()
         self._batch_seq += 1
         batch_id = self._batch_seq
         # (row_start, shard_id, worker_meta, worker_trace_dict) tuples,
@@ -803,57 +742,49 @@ class ProcessShardExecutor:
                         raise WorkerCrashError(
                             f"shard worker dispatch failed "
                             f"({type(error).__name__})") from error
-                    failures.append(pol.note_failure(
+                    ctx.failures.append(pol.note_failure(
                         self.SITE, f"shard={wave_start + slot}",
                         error, "retried"))
-            timer.lap(f"{self.SITE}.dispatch")
+            ctx.timer.lap(f"{self.SITE}.dispatch")
             for slot, (start, stop) in enumerate(wave):
                 shard_id = wave_start + slot
                 if not sent[slot] and deadline is not None \
                         and deadline.expired():
                     # Budget spent before dispatch: padded best-effort
                     # rows, flagged exhausted — identical to run_shards.
-                    assert exhausted is not None
-                    exhausted[start:stop] = True
+                    ctx.ensure_exhausted()[start:stop] = True
                     if ob is not None:
                         ob.record_deadline_exhausted(
                             f"{self.SITE}.shard", stop - start)
                     continue
                 result, shard_failures, shard_degraded = self._collect(
-                    shard_id, slot, sent[slot], queries[start:stop], k,
-                    hierarchy_threshold, deadline, pol, batch_id)
+                    ctx, shard_id, slot, sent[slot], queries[start:stop],
+                    hierarchy_threshold, batch_id)
                 if ob is not None:
                     ob.record_worker_inflight(slot, 0)
-                failures.extend(shard_failures)
+                ctx.failures.extend(shard_failures)
                 if shard_degraded or result is None:
-                    if degraded is None:
-                        degraded = np.zeros(nq, dtype=bool)
-                    degraded[start:stop] = True
+                    ctx.ensure_degraded()[start:stop] = True
                     if ob is not None:
                         ob.record_degraded("worker_crash", stop - start)
                 if result is None:
                     continue  # flagged padding stays in place
                 s_ids, s_dists, s_cand, s_esc, s_exh, s_meta = result
-                ids_out[start:stop] = s_ids
-                dists_out[start:stop] = s_dists
-                n_candidates[start:stop] = s_cand
-                escalated[start:stop] = s_esc
-                if exhausted is not None and s_exh is not None:
-                    exhausted[start:stop] = s_exh
+                ctx.ids_out[start:stop] = s_ids
+                ctx.dists_out[start:stop] = s_dists
+                ctx.n_candidates[start:stop] = s_cand
+                ctx.escalated[start:stop] = s_esc
+                if deadline is not None and s_exh is not None:
+                    ctx.ensure_exhausted()[start:stop] = s_exh
                 if ob is not None and s_meta is not None:
                     for trace_dict in s_meta.get("traces", ()):
                         pending_traces.append((start, shard_id, s_meta,
                                                trace_dict))
-            timer.lap(f"{self.SITE}.collect")
+            ctx.timer.lap(f"{self.SITE}.collect")
         if ob is not None:
             ob.record_shards(self.SITE, len(shards))
-            self._stitch_traces(ob, timer, pending_traces)
+            self._stitch_traces(ob, ctx.timer, pending_traces)
             self.drain_metrics(ob)
-        stats = QueryStats(
-            n_candidates, escalated, degraded=degraded,
-            exhausted_budget=exhausted,
-            failures=tuple(failures) if failures else None)
-        return ids_out, dists_out, stats
 
     def _make_tctx(self, ob: Optional[obs.Observer], batch_id: int,
                    shard_id: int, widx: int) -> Optional[obs.TraceContext]:
@@ -915,12 +846,9 @@ class ProcessShardExecutor:
                 None if deadline is None else deadline._expires_at,
                 tctx)
 
-    def _collect(self, shard_id: int, widx: int, in_flight: bool,
-                 queries: np.ndarray, k: int,
-                 hierarchy_threshold: object,
-                 deadline: Optional[Deadline],
-                 pol: Optional[ResiliencePolicy],
-                 batch_id: int,
+    def _collect(self, ctx: ExecutionContext, shard_id: int, widx: int,
+                 in_flight: bool, queries: np.ndarray,
+                 hierarchy_threshold: object, batch_id: int,
                  ) -> Tuple[Optional[tuple], List[FailureRecord], bool]:
         """Await one shard's reply, supervising crashes.
 
@@ -931,10 +859,10 @@ class ProcessShardExecutor:
         re-send to a fresh worker themselves.
         """
         from repro.resilience.errors import InjectedFault
-        from repro.resilience.faults import faults_active
 
+        k, deadline, pol = ctx.k, ctx.deadline, ctx.policy
+        fault_plan = ctx.fault_plan
         state = {"in_flight": in_flight}
-        fault_plan = faults_active()
 
         def attempt() -> tuple:
             if fault_plan is not None:
@@ -953,7 +881,7 @@ class ProcessShardExecutor:
                     worker.conn.send(self._request(
                         shard_id, queries, k, hierarchy_threshold,
                         deadline,
-                        self._make_tctx(obs.active(), batch_id, shard_id,
+                        self._make_tctx(ctx.ob, batch_id, shard_id,
                                         widx)))
                 state["in_flight"] = False
                 msg = self._recv(worker)
@@ -982,7 +910,7 @@ class ProcessShardExecutor:
         result, action, records = pol.run(
             self.SITE, f"shard={shard_id}", attempt,
             fallbacks=(("brute_force", brute_force),))
-        ob = obs.active()
+        ob = ctx.ob
         if ob is not None and action is not None:
             ob.record_worker_event(f"shard_{action.split(':', 1)[0]}")
         return result, list(records), action is not None and \
@@ -997,3 +925,35 @@ class ProcessShardExecutor:
         return (f"ProcessShardExecutor(n_workers={self.n_workers}, "
                 f"engine={self._engine!r}, "
                 f"segment={self._shm.name!r}, closed={self._closed})")
+
+
+class _PoolPlan(QueryPlan):
+    """The pool's staged plan: one stage dispatching row shards in waves.
+
+    ``delegates_sharding`` hands ``max_batch_rows`` to the stage, which
+    uses it as the shard size sent to each worker instead of having
+    :func:`repro.exec.run_plan` slice the batch first.  No
+    ``record_obs``: the workers record the batch counters and
+    :meth:`ProcessShardExecutor.drain_metrics` folds them in.
+    """
+
+    site = ProcessShardExecutor.SITE
+    delegates_sharding = True
+
+    def __init__(self, executor: ProcessShardExecutor,
+                 hierarchy_threshold: Union[str, int]) -> None:
+        self.executor = executor
+        self.hierarchy_threshold = hierarchy_threshold
+
+    def validate(self, queries: object, k: int, *, allow_nonfinite: bool,
+                 ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
+        return self.executor._index._validate_query_batch(
+            queries, k, allow_nonfinite)
+
+    def stages(self) -> Tuple[Stage, ...]:
+        # Untimed: the stage laps its own dispatch/collect spans per wave.
+        return (Stage(f"{self.site}.shards", self._stage_shards,
+                      timed=False),)
+
+    def _stage_shards(self, ctx: ExecutionContext) -> None:
+        self.executor._run_rows(ctx, self.hierarchy_threshold)

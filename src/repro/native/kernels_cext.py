@@ -1,7 +1,8 @@
 """C-extension backend: compile ``_kernels.c`` on demand, bind via ctypes.
 
-This is the fallback rung of the native ladder for environments with a C
-toolchain but no numba.  The shared object is compiled once per source
+This is the one compiled backend of the native engine; without a C
+toolchain the engine falls back to vectorized.  The shared object is
+compiled once per source
 revision into a cache directory (keyed by a hash of the source), loaded
 with :mod:`ctypes`, and wrapped in numpy-facing functions with the exact
 signatures the dispatch table in :mod:`repro.native.registry` expects.

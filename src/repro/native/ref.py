@@ -1,7 +1,7 @@
 """Numpy reference implementations of the native-kernel numeric spec.
 
-The compiled kernels (:mod:`repro.native.kernels_cext`,
-:mod:`repro.native.kernels_numba`) promise **bit-identical** results to
+The compiled kernels (:mod:`repro.native.kernels_cext`) promise
+**bit-identical** results to
 the vectorized engine.  Floating-point summation is not associative, so
 "the same math" is not enough — both sides must execute the *same
 summation tree*.  This module is that tree, written once in numpy:
@@ -9,11 +9,11 @@ summation tree*.  This module is that tree, written once in numpy:
 - the vectorized engine calls :func:`tree_rowdot` for its fused-rank dot
   products (``repro.lsh.index._rank_shortlists``) and the E8 decoder
   calls :func:`tree_sq_dist` for its D8-vs-half-coset comparison;
-- every compiled backend replicates the identical pairwise
-  power-of-two halving order, element by element.
+- the C kernels replicate the identical pairwise power-of-two halving
+  order, element by element.
 
 Anything here must stay importable with numpy alone — the reference spec
-is what the no-compiler, no-numba fallback runs on.
+is what the no-compiler fallback runs on.
 """
 
 from __future__ import annotations

@@ -1,25 +1,25 @@
 """The one dispatch table for compiled-kernel entry points (invariant R9).
 
-Every compiled kernel the native engine can run — numba-jitted or
-C-compiled — is reachable *only* through :func:`load_kernels` here, which
-front-ends reach only through ``engine="native"`` resolution
-(``StandardLSH.execution_plan``).  No other module may import the
-backend modules (:mod:`repro.native.kernels_numba`,
-:mod:`repro.native.kernels_cext`) directly; rule R9 of the invariant
-checker enforces this, which keeps exactly one seam where a backend can
-be swapped, pinned or disabled.
+Every compiled kernel the native engine can run is reachable *only*
+through :func:`load_kernels` here, which front-ends reach only through
+``engine="native"`` resolution (``StandardLSH.execution_plan``).  No
+other module may import the backend module
+(:mod:`repro.native.kernels_cext`) directly; rule R9 of the invariant
+checker enforces this, which keeps exactly one seam where the backend
+can be pinned or disabled.
 
-Backend selection ladder (resolved once per process, cached):
+Backend resolution (once per process, cached):
 
-1. ``numba`` — jitted kernels, preferred when importable;
-2. ``cext``  — ``_kernels.c`` compiled on demand via the system C
-   compiler, bound with ctypes;
-3. fallback — ``None``: the caller degrades to the vectorized engine
-   with a single :class:`RuntimeWarning` and an obs counter.
+- ``cext`` — ``_kernels.c`` compiled on demand via the system C
+  compiler, bound with ctypes;
+- fallback — ``None`` when that fails: the caller degrades to the
+  vectorized engine with a single :class:`RuntimeWarning` and an obs
+  counter.
 
-``REPRO_NATIVE_BACKEND`` pins a rung: ``auto`` (default), ``numba``,
-``cext``, or ``none`` (force the fallback; used by the no-compiled-tier
-CI job and the fallback tests).
+``REPRO_NATIVE_BACKEND`` pins the choice: ``auto`` (default), ``cext``
+(the same backend, named explicitly), or ``none`` (force the fallback;
+used by the no-compiled-tier CI job and the fallback tests).  Any other
+value is reported in :func:`native_status` and treated as ``none``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import obs
 
@@ -43,7 +43,7 @@ REGISTERED_ENGINES: Tuple[str, ...] = ("vectorized", "scalar", "native")
 KERNEL_NAMES: Tuple[str, ...] = ("lookup_codes", "dedup_candidates",
                                  "rank_topk", "dm_decode", "e8_decode")
 
-_VALID_PINS = ("auto", "numba", "cext", "none")
+_VALID_PINS = ("auto", "cext", "none")
 
 _lock = threading.Lock()
 _resolved = False
@@ -52,25 +52,6 @@ _backend: Optional[str] = None
 _setup_seconds: float = 0.0
 _errors: Dict[str, str] = {}
 _warned = False
-
-
-def _ladder(pin: str) -> List[str]:
-    if pin == "auto":
-        return ["numba", "cext"]
-    if pin == "none":
-        return []
-    return [pin]
-
-
-def _try_backend(name: str) -> object:
-    """Import + build one backend; exceptions mean 'fall through'."""
-    if name == "numba":
-        from repro.native import kernels_numba
-
-        return kernels_numba.load()
-    from repro.native import kernels_cext
-
-    return kernels_cext.load()
 
 
 def _resolve_locked() -> None:
@@ -82,26 +63,26 @@ def _resolve_locked() -> None:
         _errors["config"] = (f"invalid REPRO_NATIVE_BACKEND={pin!r}; "
                              f"expected one of {_VALID_PINS}")
         pin = "none"
-    for name in _ladder(pin):
-        # One-time setup (jit compile / cc invocation) is timed through
-        # the resilience clock exemption: obs owns wall reads, so route
-        # the measurement through its span helper at record time.
+    if pin != "none":
+        # One-time setup (cc invocation) is timed through the resilience
+        # clock exemption: obs owns wall reads, so route the measurement
+        # through its span helper at record time.
         import time  # invariant: disable=R6 — one-time setup timing,
         # recorded via obs below, never on the per-query path.
 
         t0 = time.perf_counter()  # invariant: disable=R6 — setup-only timing
         try:
-            kernels = _try_backend(name)
-        except Exception as error:  # ladder: any failure falls through
-            _errors[name] = f"{type(error).__name__}: {error}"
-            continue
-        _setup_seconds = time.perf_counter() - t0  # invariant: disable=R6 — setup-only timing
-        _kernels = kernels
-        _backend = name
-        ob = obs.active()
-        if ob is not None:
-            ob.record_native_setup(name, _setup_seconds)
-        break
+            from repro.native import kernels_cext
+
+            _kernels = kernels_cext.load()
+        except Exception as error:  # any build/load failure means fallback
+            _errors["cext"] = f"{type(error).__name__}: {error}"
+        else:
+            _setup_seconds = time.perf_counter() - t0  # invariant: disable=R6 — setup-only timing
+            _backend = "cext"
+            ob = obs.active()
+            if ob is not None:
+                ob.record_native_setup(_backend, _setup_seconds)
     _resolved = True
 
 
@@ -134,14 +115,14 @@ def load_kernels() -> Optional[object]:
 
 
 def native_backend() -> Optional[str]:
-    """Name of the resolved backend (``'numba'``/``'cext'``) or ``None``."""
+    """Name of the resolved backend (``'cext'``) or ``None``."""
     with _lock:
         _resolve_locked()
         return _backend
 
 
 def native_status() -> Dict[str, object]:
-    """Diagnostic snapshot: backend, setup time, per-rung errors."""
+    """Diagnostic snapshot: backend, setup time, resolution errors."""
     with _lock:
         _resolve_locked()
         return {"backend": _backend,

@@ -288,9 +288,10 @@ def execute_request(index: object, request: QueryRequest,
     """Resolve ``request`` against ``config`` and execute it on ``index``.
 
     ``index`` must expose ``execution_plan(engine, hierarchy_threshold)``
-    (every in-repo front-end does).  Request fields win over config
-    fields; unset both fall back to the front-end defaults the plan
-    builder owns (engine ``"vectorized"``, threshold ``"median"``).
+    (every in-repo front-end and the process shard pool do).  Request
+    fields win over config fields; unset both fall back to the
+    front-end defaults the plan builder owns (engine ``"vectorized"``,
+    threshold ``"median"``).
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     engine = request.engine if request.engine is not None else cfg.engine
@@ -510,31 +511,13 @@ class IndexRuntime:
                 # Re-checked under the lock: a writer may have flipped
                 # the stale flag between the fast check and here.
                 if self._executor is not None and not self._executor_stale:
-                    return self._executor.submit(  # type: ignore[attr-defined]
-                        self._resolve_for_executor(request))
+                    return execute_request(self._executor, request,
+                                           self.config)
         return execute_request(self.index, request, self.config)
 
     def _pool_engine(self) -> str:
         """The engine the shard pool workers were built with."""
         return self.config.engine or "vectorized"
-
-    def _resolve_for_executor(self, request: QueryRequest) -> QueryRequest:
-        """Fill config defaults for the pool path (its engine is fixed)."""
-        resolved = request
-        if resolved.hierarchy_threshold is None \
-                and self.config.hierarchy_threshold is not None:
-            resolved = replace(
-                resolved, hierarchy_threshold=self.config.hierarchy_threshold)
-        if resolved.deadline is None and resolved.deadline_ms is None \
-                and self.config.deadline_ms is not None:
-            resolved = replace(resolved, deadline_ms=self.config.deadline_ms)
-        if resolved.policy is None and self.config.policy is not None:
-            resolved = replace(resolved, policy=self.config.policy)
-        if resolved.max_batch_rows is None \
-                and self.config.max_batch_rows is not None:
-            resolved = replace(resolved,
-                               max_batch_rows=self.config.max_batch_rows)
-        return resolved
 
     def query_batch(self, queries: np.ndarray, k: int,
                     **options: object) -> Tuple[np.ndarray, np.ndarray,

@@ -5,11 +5,11 @@ Three contracts:
 1. **Bit-parity matrix** — ``engine="native"`` returns *identical*
    indices and distances to the vectorized and scalar engines across
    lattices × hierarchy × multiprobe × ``max_batch_rows`` × ``n_jobs``.
-   When no compiled backend is available the native engine degrades to
-   the vectorized plan, so the parity assertions hold either way; the CI
-   ``native`` job pins ``REPRO_NATIVE_BACKEND=numba`` so the compiled
-   path itself is exercised there (locally the C-extension rung usually
-   resolves).
+   When the C backend cannot be built the native engine degrades to the
+   vectorized plan, so the parity assertions hold either way; the CI
+   ``native`` job pins ``REPRO_NATIVE_BACKEND=cext`` and first asserts
+   that the C backend resolved, so the compiled path itself is exercised
+   there instead of being skipped.
 2. **Decoder properties** — the compiled E8/Dm decoders match the
    pure-numpy references in ``repro.lattice`` on random inputs *and* on
    the boundary grid (exact integers, half-integers, quarter-point
@@ -289,13 +289,19 @@ class TestFallback:
         finally:
             registry.reset()
 
-    def test_invalid_pin_is_reported_not_fatal(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_BACKEND", "warp9")
+    @pytest.mark.parametrize("pin", ["warp9", "numba"])
+    def test_invalid_pin_is_reported_not_fatal(self, monkeypatch, pin):
+        monkeypatch.setenv("REPRO_NATIVE_BACKEND", pin)
         registry.reset()
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 assert registry.load_kernels() is None
+                assert registry.load_kernels() is None
+            relevant = [w for w in caught
+                        if issubclass(w.category, RuntimeWarning)
+                        and "native kernels unavailable" in str(w.message)]
+            assert len(relevant) == 1, "invalid pin must warn exactly once"
             assert "config" in registry.native_status()["errors"]
         finally:
             registry.reset()

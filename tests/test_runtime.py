@@ -23,6 +23,7 @@ import argparse
 import asyncio
 import json
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -803,6 +804,44 @@ class TestShardPoolRuntime:
         with pytest.raises(RuntimeError, match="closed"):
             runtime.submit(QueryRequest(queries=queries, k=5))
 
+    @pytest.mark.parametrize("option", [
+        {"deadline_ms": 60_000.0},
+        {"max_batch_rows": 5},
+        {"policy": ResiliencePolicy()},
+    ], ids=["deadline_ms", "max_batch_rows", "policy"])
+    def test_pool_resolves_config_like_in_process(self, base_data, queries,
+                                                  option):
+        index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
+                            seed=5).fit(base_data)
+        cfg = RuntimeConfig(shard_workers=2, hierarchy_threshold=32,
+                            **option)
+        batch = queries.copy()
+        if "policy" in option:
+            batch[3] = np.nan  # only a resolved policy tolerates this row
+        request = QueryRequest(queries=batch, k=5)
+        with IndexRuntime(index, replace(cfg, shard_workers=0)) as local:
+            want = local.submit(request)
+        with IndexRuntime(index, cfg) as runtime:
+            shards = []
+            executor = runtime._executor
+            orig_request = executor._request
+            executor._request = lambda *args: (shards.append(args[0])
+                                               or orig_request(*args))
+            got = runtime.submit(request)
+        np.testing.assert_array_equal(got.ids, want.ids)
+        assert np.array_equal(got.distances.view(np.int64),
+                              want.distances.view(np.int64))
+        _assert_stats_equal(got.stats, want.stats)
+        # Each config field reached the pool path, not only the
+        # in-process one.
+        n_rows = len(queries)
+        assert len(shards) == (-(-n_rows // 5) if "max_batch_rows" in option
+                               else 1)
+        if "deadline_ms" in option:
+            assert got.stats.exhausted_budget is not None
+        if "policy" in option:
+            assert got.stats.degraded is not None and got.stats.degraded[3]
+
     def test_live_writes_mark_pool_stale_read_your_writes(self, base_data):
         index = StandardLSH(n_hashes=4, n_tables=3, bucket_width=4.0,
                             seed=5).fit(base_data)
@@ -870,9 +909,9 @@ class TestShardPoolRuntime:
         with IndexRuntime(index, cfg) as runtime:
             pool_calls = []
             executor = runtime._executor
-            orig_submit = executor.submit
-            executor.submit = lambda req: (pool_calls.append(req.engine)
-                                           or orig_submit(req))
+            orig_plan = executor.execution_plan
+            executor.execution_plan = lambda **kw: (
+                pool_calls.append(kw.get("engine")) or orig_plan(**kw))
             # Unset engine and the pool's own engine ride the pool.
             runtime.submit(QueryRequest(queries=queries, k=5))
             runtime.submit(QueryRequest(queries=queries, k=5,
